@@ -106,4 +106,5 @@ apicheck: vet
 	fi
 	@echo "apicheck: ok"
 
-ci: build apicheck test race stress crash wal serve shard nouring coldbench-short
+# The one definition of CI: the workflow runs exactly this target.
+ci: build apicheck test race stress crash wal serve shard nouring bench-short coldbench-short

@@ -2,20 +2,22 @@ package uindex
 
 import (
 	"context"
-
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // TestRangeScanAllocsScaleWithMatches is the allocation regression guard
-// for the range executor: a value-range query inspects every entry in the
-// spanned clusters, and the per-entry parse used to allocate a path slice,
-// per-component code strings, and offset slices for each of them (~27k
-// allocations per query on the benchmark database). With the reusable
-// matchScratch the steady-state parse allocates nothing — only an actual
-// match allocates (the emitted Path copy and value boxing the caller may
-// retain). The test pins that down as an invariant: allocations scale with
-// matches, not with entries scanned.
+// for the query result path: a value-range query inspects every entry in
+// the spanned clusters and matches thousands of them. The per-entry parse
+// used to allocate a path slice, per-component code strings, and offset
+// slices for each entry (~27k allocations per query on the benchmark
+// database), and later each match still allocated its own Path copy and
+// boxed value. Now the parse reuses its scratch, the value is decoded once
+// per attribute-value cluster, and Paths are carved from a chunked arena,
+// so a query's allocations are a flat per-query cost plus logarithmic slice
+// growth: they must not scale with entries scanned or with matches.
 func TestRangeScanAllocsScaleWithMatches(t *testing.T) {
 	s := NewSchema()
 	if err := s.AddClass("Vehicle", "", Attr{Name: "Color", Type: String}); err != nil {
@@ -63,15 +65,58 @@ func TestRangeScanAllocsScaleWithMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per match: the Path copy, the boxed string value, its backing bytes,
-	// and amortized result-slice growth — comfortably under 6; plus a flat
-	// allowance for the per-query setup (plan, intervals, tracker, scan
-	// state). The old per-entry parse added ~5 allocations per entry
-	// scanned and blows way past this bound.
-	limit := float64(6*len(matches) + 400)
+	// The per-query setup (plan, intervals, tracker, scan state), one
+	// decoded value per color cluster, about ten doubling arena chunks and
+	// about ten doublings of the result slice: under 100 at any result
+	// size. One allocation per match — a Path copy, a boxed value — would
+	// add well over a thousand.
+	const limit = 150
 	if allocs > limit {
-		t.Fatalf("range query allocates %.0f per run for %d matches (%d entries scanned); limit %.0f — "+
-			"per-entry parsing is allocating again", allocs, len(matches), stats.EntriesScanned, limit)
+		t.Fatalf("range query allocates %.0f per run for %d matches (%d entries scanned); limit %d — "+
+			"the result path is allocating per entry or per match again", allocs, len(matches), stats.EntriesScanned, limit)
 	}
 	t.Logf("range query: %.0f allocs, %d matches, %d entries scanned", allocs, len(matches), stats.EntriesScanned)
+}
+
+// TestQueryPathsAreIndependent checks the result lifetime contract: each
+// Match.Path is capped at its length, so appending to one (which a caller
+// may do to a retained match) reallocates instead of overwriting the next
+// match's path in the shared arena chunk. It also checks that matches of one
+// attribute-value cluster share their Value without the sharing being
+// visible: every match still carries the right value.
+func TestQueryPathsAreIndependent(t *testing.T) {
+	db, _ := paperDB(t)
+	defer db.Close()
+	ctx := context.Background()
+	q := Query{Value: Range(uint64(0), uint64(100))}
+	ms, _, err := db.Query(ctx, "age", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) < 3 {
+		t.Fatalf("weak fixture: %d matches", len(ms))
+	}
+	want := make([][]PathEntry, len(ms))
+	for i, m := range ms {
+		if cap(m.Path) != len(m.Path) {
+			t.Fatalf("match %d: Path len %d cap %d, want capped", i, len(m.Path), cap(m.Path))
+		}
+		want[i] = append([]PathEntry(nil), m.Path...)
+	}
+	for i := range ms {
+		ms[i].Path = append(ms[i].Path, PathEntry{Code: "9", OID: 999})
+		for j := i + 1; j < len(ms); j++ {
+			if !reflect.DeepEqual(ms[j].Path, want[j]) {
+				t.Fatalf("append to match %d's Path changed match %d: %v, was %v", i, j, ms[j].Path, want[j])
+			}
+		}
+	}
+	// Vehicles of one company share their president's age, so values run
+	// in clusters; each match's value must still be its own path's.
+	for _, m := range ms {
+		pres, _ := db.Get(m.Path[0].OID) // terminal-first: the president
+		if age := pres.Attrs()["Age"]; fmt.Sprint(m.Value) != fmt.Sprint(age) {
+			t.Fatalf("match %v carries value %v, its president's age is %v", m.Path, m.Value, age)
+		}
+	}
 }

@@ -164,6 +164,9 @@ outer:
 		rerrs = pager.ReadPages(p.inner, readIDs, readBufs)
 		p.mu.Lock()
 		p.inflight--
+		// The private frames come back below, before the mutex is
+		// released; wake the reads waiting for one.
+		p.frameBack.Broadcast()
 		if p.closed {
 			for _, fi := range missFrames {
 				if fi >= 0 {

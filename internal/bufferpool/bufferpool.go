@@ -185,6 +185,13 @@ type Pool struct {
 	// in flight, so a batch never installs bytes it read before the change.
 	inflight int
 	stale    map[pager.PageID]struct{}
+
+	// transient counts pins Read and Write hold only across their copy
+	// window. Together with inflight batches, whose private frames also
+	// come back on their own, it tells a Read that finds no frame whether
+	// to wait for one (frameBack) or fail with ErrNoFrames.
+	transient int
+	frameBack *sync.Cond // on mu; broadcast when a transient hold ends
 }
 
 // noteStoreLocked records that the backing contents of page id changed — a
@@ -225,6 +232,7 @@ func New(inner pager.File, cfg Config) (*Pool, error) {
 		free:   make([]int, 0, n),
 		rep:    rep,
 	}
+	p.frameBack = sync.NewCond(&p.mu)
 	// The free list is popped from the back; seed it in reverse so frames
 	// fill in ascending order (the order the clock hand sweeps).
 	for i := range p.frames {
@@ -370,12 +378,24 @@ func (p *Pool) Read(id pager.PageID, buf []byte) error {
 		return pager.ErrPageSize
 	}
 	p.calls.Reads++
+	// A miss with every frame pinned or private fails only when the holds
+	// are Pin callers'. Holds by other reads and writes mid-copy, or by
+	// batched reads in flight, end on their own, so the read waits for a
+	// frame instead of failing because it lost a race.
+	for p.noFrameLocked(id) && (p.transient > 0 || p.inflight > 0) {
+		p.frameBack.Wait()
+		if p.closed {
+			p.mu.Unlock()
+			return ErrClosed
+		}
+	}
 	fi, err := p.pinLocked(id)
 	if err != nil {
 		p.mu.Unlock()
 		return err
 	}
 	f := &p.frames[fi]
+	p.transient++
 	p.mu.Unlock()
 
 	f.latch.RLock()
@@ -383,9 +403,24 @@ func (p *Pool) Read(id pager.PageID, buf []byte) error {
 	f.latch.RUnlock()
 
 	p.mu.Lock()
-	p.unpinLocked(fi, false)
+	p.endTransientLocked(fi, false)
 	p.mu.Unlock()
 	return nil
+}
+
+// noFrameLocked reports whether bringing page id in would find no frame:
+// the page is not resident and no frame is free or evictable.
+func (p *Pool) noFrameLocked(id pager.PageID) bool {
+	_, resident := p.table[id]
+	return !resident && len(p.free) == 0 && p.rep.numEvictable() == 0
+}
+
+// endTransientLocked releases a Read or Write copy-window pin and wakes
+// reads waiting for a frame.
+func (p *Pool) endTransientLocked(fi int, dirty bool) {
+	p.unpinLocked(fi, dirty)
+	p.transient--
+	p.frameBack.Broadcast()
 }
 
 // Write implements pager.File. A resident page is updated in its frame and
@@ -414,6 +449,7 @@ func (p *Pool) Write(id pager.PageID, buf []byte) error {
 		f.pins++
 		p.rep.noteAccess(fi)
 		p.rep.setEvictable(fi, false)
+		p.transient++
 		p.mu.Unlock()
 
 		f.latch.Lock()
@@ -421,7 +457,7 @@ func (p *Pool) Write(id pager.PageID, buf []byte) error {
 		f.latch.Unlock()
 
 		p.mu.Lock()
-		p.unpinLocked(fi, true)
+		p.endTransientLocked(fi, true)
 		return nil
 	}
 	if err := p.inner.Write(id, buf); err != nil {

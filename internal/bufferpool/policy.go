@@ -22,6 +22,8 @@ type replacer interface {
 	victim() (int, bool)
 	// remove withdraws frame i entirely (its page was freed).
 	remove(i int)
+	// numEvictable returns the number of evictable frames.
+	numEvictable() int
 }
 
 func newReplacer(policy string, frames int) (replacer, error) {
@@ -86,6 +88,8 @@ func (c *clockReplacer) victim() (int, bool) {
 	return 0, false
 }
 
+func (c *clockReplacer) numEvictable() int { return c.n }
+
 func (c *clockReplacer) remove(i int) {
 	c.setEvictable(i, false)
 	c.ref[i] = false
@@ -120,6 +124,8 @@ func (l *lruReplacer) setEvictable(i int, ok bool) {
 		l.n--
 	}
 }
+
+func (l *lruReplacer) numEvictable() int { return l.n }
 
 func (l *lruReplacer) victim() (int, bool) {
 	if l.n == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -205,8 +206,8 @@ func (ix *Index) runPlan(ctx context.Context, v view, p *plan, ec *ExecContext, 
 	tr := ec.Tracker
 	var err error
 	stats := Stats{Algorithm: ec.Algorithm, Intervals: len(p.intervals)}
-	lastDistinct := ""  // forward-scan duplicate suppression for Distinct
-	var sc matchScratch // per-entry parse state, reused across the scan
+	var lastDistinct []byte // forward-scan duplicate suppression for Distinct
+	var sc matchScratch     // per-entry parse state, reused across the scan
 	emit := func(key []byte) (skipTo []byte, stop bool, err error) {
 		stats.EntriesScanned++
 		m, skip, err := p.matchKey(ix, key, &sc)
@@ -221,11 +222,10 @@ func (ix *Index) runPlan(ctx context.Context, v view, p *plan, ec *ExecContext, 
 			// parallel algorithm jumps past the cluster so this
 			// never repeats; the forward scan visits every entry
 			// and must suppress the repeats itself.
-			sig := string(skip)
-			if sig == lastDistinct {
+			if lastDistinct != nil && bytes.Equal(skip, lastDistinct) {
 				return skip, false, nil
 			}
-			lastDistinct = sig
+			lastDistinct = append(lastDistinct[:0], skip...)
 		}
 		stats.Matches++
 		if !fn(key, *m) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/btree"
 	"repro/internal/encoding"
 	"repro/internal/store"
@@ -311,23 +312,34 @@ func (ix *Index) compile(q Query) (*plan, error) {
 }
 
 // matchScratch is the reusable per-execution state of matchKey: the parsed
-// path and offset slices, the class-code intern table, and the Match handed
-// to the emit callback. One scan reuses it for every entry inspected, so
-// the per-entry parse allocates nothing in steady state; only an actual
-// match allocates (the Path copy the caller is allowed to retain). A
-// scratch belongs to one execution goroutine — runPlan owns one per call.
+// path and offset slices, the class-code intern table, the skip-key
+// buffers, the last decoded value, the Path arena, and the Match handed to
+// the emit callback. One scan reuses it for every entry inspected, so the
+// per-entry parse allocates nothing in steady state, and a match costs no
+// allocation of its own either: the value is decoded once per run of equal
+// attribute bytes (one attribute-value cluster — the key is value-first)
+// and the boxed, immutable value is shared by every match of the run, and
+// each Path is carved from a chunked arena. A scratch belongs to one
+// execution goroutine — runPlan owns one per call.
 type matchScratch struct {
 	path  []encoding.PathEntry
 	offs  []int
 	codes encoding.CodeInterner
 	match Match
+	attr  []byte // encoded attribute bytes of value
+	value any    // decoded value of attr; nil before the first match
+	paths arena.Arena[encoding.PathEntry]
+	skip  []byte // skip key handed to the scan, which copies it
+	best  []byte // skipFor's best candidate component so far
+	cand  []byte // skipFor's candidate under test
 }
 
 // matchKey checks a key against the residual patterns. It returns whether
 // the key matches, and — on mismatch or after a Distinct match — the skip
 // key for the parallel algorithm (nil when plain advancement is fine).
-// The returned Match (and everything it references except Path) is only
-// valid until the next matchKey call on the same scratch.
+// The returned Match and skip key are only valid until the next matchKey
+// call on the same scratch, except for the match's Value and Path, which
+// the caller may retain.
 func (p *plan) matchKey(ix *Index, key []byte, sc *matchScratch) (m *Match, skipTo []byte, err error) {
 	attr, path, offs, err := sc.split(ix.attrType, key)
 	if err != nil {
@@ -356,20 +368,24 @@ func (p *plan) matchKey(ix *Index, key []byte, sc *matchScratch) (m *Match, skip
 			break
 		}
 		if !ok {
-			return nil, p.skipFor(key, attr, path, offs, pi, pats), nil
+			return nil, sc.skipFor(key, attr, offs, pi, pats), nil
 		}
 	}
-	v, err := ix.attrType.DecodeValue(attr)
-	if err != nil {
-		return nil, nil, err
+	if sc.value == nil || !bytes.Equal(attr, sc.attr) {
+		v, err := ix.attrType.DecodeValue(attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		sc.value = v
+		sc.attr = append(sc.attr[:0], attr...)
 	}
 	if p.q.Distinct > 0 && p.q.Distinct <= len(path) {
 		path = path[:p.q.Distinct]
-		skipTo = skipPast(key, offs[p.q.Distinct-1])
+		skipTo = sc.skipPast(key, offs[p.q.Distinct-1])
 	}
 	// The emitted Path must survive the next key (callers retain it), so
-	// the match — and only the match — copies out of the scratch.
-	sc.match = Match{Value: v, Path: append([]encoding.PathEntry(nil), path...)}
+	// it is copied out of the scratch into the arena.
+	sc.match = Match{Value: sc.value, Path: sc.paths.Copy(path)}
 	return &sc.match, skipTo, nil
 }
 
@@ -401,57 +417,57 @@ func (sc *matchScratch) split(t encoding.AttrType, key []byte) (attr []byte, pat
 // paper's search-tree move. If some alternative's class cluster begins
 // after the current component within the same parent cluster, seek directly
 // to it; otherwise skip the whole parent cluster, since nothing below it
-// can match position pi anymore.
-func (p *plan) skipFor(key, attr []byte, path []encoding.PathEntry, offs []int, pi int, pats []compiledPattern) []byte {
+// can match position pi anymore. The key is built in the scratch.
+func (sc *matchScratch) skipFor(key, attr []byte, offs []int, pi int, pats []compiledPattern) []byte {
 	start := len(attr)
 	if pi > 0 {
 		start = offs[pi-1]
 	}
 	curComp := key[start:offs[pi]]
-	var best []byte
+	found := false
 	consider := func(cand []byte) {
-		if bytes.Compare(cand, curComp) > 0 && (best == nil || bytes.Compare(cand, best) < 0) {
-			best = cand
+		if bytes.Compare(cand, curComp) > 0 && (!found || bytes.Compare(cand, sc.best) < 0) {
+			sc.best = append(sc.best[:0], cand...)
+			found = true
 		}
 	}
 	for _, cp := range pats {
+		cand := append(sc.cand[:0], cp.code...)
 		switch {
 		case cp.oids != nil && cp.subtree:
 			// Allowed objects of an unenumerable code set may begin
 			// anywhere after the current component; only the current
 			// component's own cluster is safely skippable.
-			return skipPast(key, offs[pi])
+			return sc.skipPast(key, offs[pi])
 		case cp.oids != nil:
 			// Jump to the next allowed (code, oid) point.
+			cand = append(cand, encoding.SepByte)
 			for oid := range cp.oids {
-				cand := make([]byte, 0, len(cp.code)+1+encoding.OIDSize)
-				cand = append(cand, cp.code...)
-				cand = append(cand, encoding.SepByte)
-				cand = binary.BigEndian.AppendUint32(cand, uint32(oid))
+				cand = binary.BigEndian.AppendUint32(cand[:len(cp.code)+1], uint32(oid))
 				consider(cand)
 			}
 		case cp.subtree:
-			consider([]byte(cp.code))
+			consider(cand)
 		default:
-			consider(append([]byte(cp.code), encoding.SepByte))
+			cand = append(cand, encoding.SepByte)
+			consider(cand)
 		}
+		sc.cand = cand
 	}
-	if best != nil {
-		out := make([]byte, 0, start+len(best))
-		out = append(out, key[:start]...)
-		return append(out, best...)
+	if found {
+		sc.skip = append(append(sc.skip[:0], key[:start]...), sc.best...)
+		return sc.skip
 	}
 	// Every alternative lies before the current component: the rest of
 	// the parent cluster is irrelevant too.
-	return skipPast(key, start)
+	return sc.skipPast(key, start)
 }
 
-// skipPast returns the smallest key beyond every key sharing key[:end]. The
-// next byte after a completed path component is always a code character
-// (below 0xFF), so appending 0xFF is a valid exclusive successor.
-func skipPast(key []byte, end int) []byte {
-	out := make([]byte, end+1)
-	copy(out, key[:end])
-	out[end] = 0xFF
-	return out
+// skipPast returns the smallest key beyond every key sharing key[:end],
+// built in the scratch. The next byte after a completed path component is
+// always a code character (below 0xFF), so appending 0xFF is a valid
+// exclusive successor.
+func (sc *matchScratch) skipPast(key []byte, end int) []byte {
+	sc.skip = append(append(sc.skip[:0], key[:end]...), 0xFF)
+	return sc.skip
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/btree"
 	"repro/internal/store"
 )
@@ -376,9 +377,10 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn fun
 	}
 
 	// Scatter: one goroutine per relevant shard, each collecting its
-	// (key, match) stream under its own tracker and ExecContext.
-	// Trackers are materialized up front — ShardTracker mutates the
-	// shared context and must not race.
+	// (key, match) stream under its own tracker and ExecContext, with the
+	// keys copied into its own chunked arena. Trackers are materialized
+	// up front — ShardTracker mutates the shared context and must not
+	// race.
 	for _, i := range rel {
 		ec.ShardTracker(i, n)
 	}
@@ -392,8 +394,9 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn fun
 			defer wg.Done()
 			child := &ExecContext{Tracker: ec.ShardTracker(i, n), Algorithm: ec.Algorithm}
 			v, release := viewOf(i)
+			var keys arena.Arena[byte]
 			st, err := proto.runPlan(ctx, v, p, child, func(key []byte, m Match) bool {
-				results[ri] = append(results[ri], keyedMatch{key: append([]byte(nil), key...), m: m})
+				results[ri] = append(results[ri], keyedMatch{key: keys.Copy(key), m: m})
 				return true
 			})
 			if rerr := release(); rerr != nil && err == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -79,10 +80,12 @@ func readFull(nc net.Conn, b []byte) (int, error) {
 }
 
 // readLoop dispatches responses to waiting calls by request id. A
-// transport error fails every pending and future call.
+// transport error fails every pending and future call. Reads go through a
+// buffer, so a frame's header and a small body cost one read syscall.
 func (c *Client) readLoop() {
+	br := bufio.NewReader(c.nc)
 	for {
-		payload, err := readFrame(c.nc, DefaultMaxFrame)
+		payload, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("server: connection lost: %w", err))
 			return
@@ -125,7 +128,7 @@ func (c *Client) Close() error {
 // roundTrip sends one request and waits for its response or ctx.
 func (c *Client) roundTrip(ctx context.Context, req request) (clientResp, error) {
 	req.id = c.nextID.Add(1)
-	payload, err := encodeRequest(req)
+	frame, err := appendRequest(make([]byte, frameHeaderLen, 64), req)
 	if err != nil {
 		return clientResp{}, err
 	}
@@ -140,7 +143,7 @@ func (c *Client) roundTrip(ctx context.Context, req request) (clientResp, error)
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err = writeFrame(c.nc, payload)
+	err = writeFrame(c.nc, frame)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

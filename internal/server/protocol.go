@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -30,6 +31,7 @@ import (
 	"math"
 
 	uindex "repro"
+	"repro/internal/arena"
 	"repro/internal/encoding"
 )
 
@@ -96,14 +98,15 @@ var (
 	errShortFrame = errors.New("server: truncated frame body")
 )
 
-// writeFrame writes one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// frameHeaderLen is the size of the length prefix that opens every frame.
+const frameHeaderLen = 4
+
+// writeFrame sends one frame: frameHeaderLen reserved bytes followed by the
+// payload. It fills in the length prefix and issues a single Write, so a
+// frame costs one syscall and, under TCP_NODELAY, one segment.
+func writeFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderLen))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -140,15 +143,21 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func readString(b []byte) (string, []byte, error) {
+// readBytes decodes a length-prefixed byte string, aliasing b.
+func readBytes(b []byte) ([]byte, []byte, error) {
 	n, rest, err := readUvarint(b)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(rest)) {
-		return "", nil, errShortFrame
+		return nil, nil, errShortFrame
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
+}
+
+func readString(b []byte) (string, []byte, error) {
+	s, rest, err := readBytes(b)
+	return string(s), rest, err
 }
 
 func readUint32(b []byte) (uint32, []byte, error) {
@@ -453,10 +462,9 @@ func appendBatchOp(b []byte, op uindex.BatchOp) ([]byte, error) {
 	return b, nil
 }
 
-// encodeRequest builds a request payload (the client side of
+// appendRequest appends a request payload to b (the client side of
 // decodeRequest).
-func encodeRequest(req request) ([]byte, error) {
-	b := make([]byte, 0, 64)
+func appendRequest(b []byte, req request) ([]byte, error) {
 	b = append(b, byte(req.op))
 	b = binary.BigEndian.AppendUint32(b, req.id)
 	switch req.op {
@@ -504,11 +512,19 @@ func encodeRequest(req request) ([]byte, error) {
 
 // --- responses --------------------------------------------------------
 
-// encodeResponseHeader starts a response payload.
-func encodeResponseHeader(code Code, id uint32) []byte {
-	b := make([]byte, 0, 64)
+// responseHeaderLen is the size of a response payload's status and id.
+const responseHeaderLen = 5
+
+// appendResponseHeader starts a response payload.
+func appendResponseHeader(b []byte, code Code, id uint32) []byte {
 	b = append(b, byte(code))
 	return binary.BigEndian.AppendUint32(b, id)
+}
+
+// appendResponseFrame starts a response frame in b: the reserved length
+// prefix, then the response header.
+func appendResponseFrame(b []byte, code Code, id uint32) []byte {
+	return appendResponseHeader(append(b, make([]byte, frameHeaderLen)...), code, id)
 }
 
 // decodeResponseHeader splits a response payload.
@@ -518,6 +534,10 @@ func decodeResponseHeader(payload []byte) (Code, uint32, []byte, error) {
 	}
 	return Code(payload[0]), binary.BigEndian.Uint32(payload[1:5]), payload[5:], nil
 }
+
+// maxStatsLen bounds the encoding of query Stats: the algorithm byte and
+// seven uvarints.
+const maxStatsLen = 1 + 7*binary.MaxVarintLen64
 
 // appendStats encodes query Stats.
 func appendStats(b []byte, s uindex.Stats) []byte {
@@ -558,49 +578,114 @@ func readStats(b []byte) (uindex.Stats, []byte, error) {
 	return s, b, nil
 }
 
-// appendMatches encodes a query result set: count, then per match the
-// typed value and the (code, oid) path, terminal-first like the engine.
-func appendMatches(b []byte, ms []uindex.Match) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(ms)))
-	for _, m := range ms {
-		var err error
-		if b, err = appendValue(b, m.Value); err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(m.Path)))
-		for _, pe := range m.Path {
-			b = appendString(b, string(pe.Code))
-			b = binary.BigEndian.AppendUint32(b, uint32(pe.OID))
-		}
+// queryPrefixLen bounds the part of a query response frame that precedes
+// the matches: the frame length, the response header, the stats, and the
+// match count. The stats and count are known only after the scan, so the
+// server streams the matches in behind this many reserved bytes and writes
+// the prefix right-aligned into the gap once the query is done; the frame
+// is then sent from where the prefix starts, with no copy of the matches.
+const queryPrefixLen = frameHeaderLen + responseHeaderLen + maxStatsLen + binary.MaxVarintLen64
+
+// startQueryFrame starts a query response frame in b's backing array,
+// reserving its prefix; the matches follow, each appended with appendMatch.
+// The result set on the wire is the match count, then the matches.
+func startQueryFrame(b []byte) []byte {
+	return append(b[:0], make([]byte, queryPrefixLen)...)
+}
+
+// finishQueryFrame fills in the prefix of a query response frame started
+// with startQueryFrame and holding n matches, returning the frame.
+func finishQueryFrame(b []byte, id uint32, stats uindex.Stats, n int) []byte {
+	var pre [queryPrefixLen]byte
+	p := appendResponseFrame(pre[:0], CodeOK, id)
+	p = appendStats(p, stats)
+	p = binary.AppendUvarint(p, uint64(n))
+	start := queryPrefixLen - len(p)
+	copy(b[start:], p)
+	return b[start:]
+}
+
+// appendMatch encodes one match: the typed value and the (code, oid) path,
+// terminal-first like the engine.
+func appendMatch(b []byte, m uindex.Match) ([]byte, error) {
+	b, err := appendValue(b, m.Value)
+	if err != nil {
+		return nil, err
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Path)))
+	for _, pe := range m.Path {
+		b = appendString(b, string(pe.Code))
+		b = binary.BigEndian.AppendUint32(b, uint32(pe.OID))
 	}
 	return b, nil
 }
 
+// Smallest encodings, which bound how many elements the remaining bytes of
+// a frame can hold: a match is at least an empty string value (tag, zero
+// length) and an empty path (zero count); a path entry is at least a code
+// length and an oid.
+const (
+	minMatchLen     = 3
+	minPathEntryLen = 1 + 4
+)
+
+// readMatches decodes a result set without allocating per match. Counts
+// are untrusted, so the result slice is presized to at most what the
+// remaining bytes can encode. Matches of one attribute-value cluster
+// arrive consecutively with identical value bytes; since value encodings
+// are self-delimiting, a match whose bytes start with the previous value's
+// whole encoding has that same value, and shares its decoded (immutable)
+// Value. Codes are validated and interned per call, and each Path is
+// carved from a chunked arena, capped at its length so an append cannot
+// overwrite the next match's.
 func readMatches(b []byte) ([]uindex.Match, []byte, error) {
 	n, b, err := readUvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ms []uindex.Match // grown per element: n is untrusted
+	ms := make([]uindex.Match, 0, min(n, uint64(len(b)/minMatchLen)))
+	var (
+		codes   encoding.CodeInterner
+		paths   arena.Arena[uindex.PathEntry]
+		prevEnc []byte // encoding of prev, aliasing the frame
+		prev    any
+	)
 	for i := uint64(0); i < n; i++ {
 		var m uindex.Match
-		if m.Value, b, err = readValue(b); err != nil {
-			return nil, nil, err
+		if prevEnc != nil && bytes.HasPrefix(b, prevEnc) {
+			m.Value, b = prev, b[len(prevEnc):]
+		} else {
+			v, rest, err := readValue(b)
+			if err != nil {
+				return nil, nil, err
+			}
+			prevEnc, prev = b[:len(b)-len(rest)], v
+			m.Value, b = v, rest
 		}
 		var plen uint64
 		if plen, b, err = readUvarint(b); err != nil {
 			return nil, nil, err
 		}
-		for j := uint64(0); j < plen; j++ {
-			var code string
-			if code, b, err = readString(b); err != nil {
+		if plen > uint64(len(b)/minPathEntryLen) {
+			return nil, nil, errShortFrame
+		}
+		if plen > 0 {
+			m.Path = paths.Alloc(int(plen))
+		}
+		for j := range m.Path {
+			var raw []byte
+			if raw, b, err = readBytes(b); err != nil {
+				return nil, nil, err
+			}
+			code, err := codes.Intern(raw)
+			if err != nil {
 				return nil, nil, err
 			}
 			var oid uint32
 			if oid, b, err = readUint32(b); err != nil {
 				return nil, nil, err
 			}
-			m.Path = append(m.Path, uindex.PathEntry{Code: encoding.Code(code), OID: uindex.OID(oid)})
+			m.Path[j] = uindex.PathEntry{Code: code, OID: uindex.OID(oid)}
 		}
 		ms = append(ms, m)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -289,7 +290,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:      s,
 		nc:       nc,
-		br:       nc,
+		br:       bufio.NewReader(nc),
 		pipeline: make(chan struct{}, s.cfg.PipelineDepth),
 	}
 }
@@ -427,7 +428,9 @@ func (c *conn) serve(req request) {
 		defer cancel()
 	}
 	start := time.Now()
-	shape, payload, err := c.execute(ctx, req)
+	buf := respBufs.Get().(*[]byte)
+	defer putRespBuf(buf)
+	shape, frame, err := c.execute(ctx, req, buf)
 	if m, ok := s.m.latency[shape]; ok {
 		m.Observe(time.Since(start).Seconds())
 		s.m.requests[shape].Inc()
@@ -440,45 +443,38 @@ func (c *conn) serve(req request) {
 		c.sendError(req.id, code, err.Error())
 		return
 	}
-	c.send(payload)
+	c.send(frame)
+}
+
+// respBufs pools response buffers, so the steady state of a connection
+// serving queries allocates no response memory. Buffers grown above
+// maxPooledResp by an outsized response are dropped instead of pinning
+// that much memory in the pool.
+var respBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+const maxPooledResp = 1 << 20
+
+func putRespBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledResp {
+		respBufs.Put(buf)
+	}
 }
 
 // execute dispatches one request to the engine. It returns the metric
-// shape label, the encoded success response, or an error to map to a code.
-func (c *conn) execute(ctx context.Context, req request) (shape string, payload []byte, err error) {
+// shape label and the success response frame, built in the pooled buffer
+// *buf, or an error to map to a code.
+func (c *conn) execute(ctx context.Context, req request, buf *[]byte) (shape string, frame []byte, err error) {
+	if req.op == OpQuery {
+		return c.query(ctx, req, buf)
+	}
 	db := c.srv.db
+	ok := appendResponseFrame((*buf)[:0], CodeOK, req.id)
 	switch req.op {
 	case OpPing:
-		return "ping", encodeResponseHeader(CodeOK, req.id), nil
-	case OpQuery:
-		ix, ok := db.Index(req.index)
-		if !ok {
-			return "exact", nil, fmt.Errorf("no index %q: %w", req.index, uindex.ErrIndexNotFound)
-		}
-		q, err := uindex.ParseQuery(ix, req.query)
-		if err != nil {
-			return "exact", nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		shape = queryShape(q)
-		// The session snapshot is held in read mode for the whole query:
-		// one consistent epoch, never blocking other readers.
-		c.sessMu.RLock()
-		snap := c.snap
-		if snap == nil {
-			c.sessMu.RUnlock()
-			return shape, nil, uindex.ErrSnapshotReleased
-		}
-		ms, stats, err := snap.Query(ctx, req.index, q, uindex.WithAlgorithm(req.alg))
-		c.sessMu.RUnlock()
-		if err != nil {
-			return shape, nil, err
-		}
-		b := encodeResponseHeader(CodeOK, req.id)
-		b = appendStats(b, stats)
-		if b, err = appendMatches(b, ms); err != nil {
-			return shape, nil, err
-		}
-		return shape, b, nil
+		return "ping", ok, nil
 	case OpInsert:
 		oid, err := db.Insert(req.class, req.attrs)
 		if err != nil {
@@ -487,8 +483,7 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 		if err := c.refreshSession(); err != nil {
 			return "write", nil, err
 		}
-		b := encodeResponseHeader(CodeOK, req.id)
-		return "write", appendOID(b, oid), nil
+		return "write", appendOID(ok, oid), nil
 	case OpSet:
 		if err := db.Set(req.oid, req.attr, req.value); err != nil {
 			return "write", nil, err
@@ -496,7 +491,7 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 		if err := c.refreshSession(); err != nil {
 			return "write", nil, err
 		}
-		return "write", encodeResponseHeader(CodeOK, req.id), nil
+		return "write", ok, nil
 	case OpDelete:
 		if err := db.Delete(req.oid); err != nil {
 			return "write", nil, err
@@ -504,7 +499,7 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 		if err := c.refreshSession(); err != nil {
 			return "write", nil, err
 		}
-		return "write", encodeResponseHeader(CodeOK, req.id), nil
+		return "write", ok, nil
 	case OpBatch:
 		var b uindex.Batch
 		for _, op := range req.ops {
@@ -530,20 +525,60 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 		if err := c.refreshSession(); err != nil {
 			return "batch", nil, err
 		}
-		out := encodeResponseHeader(CodeOK, req.id)
-		return "batch", appendBatchResult(out, res), nil
+		return "batch", appendBatchResult(ok, res), nil
 	case OpCheckpoint:
 		if err := db.Checkpoint(); err != nil {
 			return "checkpoint", nil, err
 		}
-		return "checkpoint", encodeResponseHeader(CodeOK, req.id), nil
+		return "checkpoint", ok, nil
 	case OpRefresh:
 		if err := c.refreshSession(); err != nil {
 			return "refresh", nil, err
 		}
-		return "refresh", encodeResponseHeader(CodeOK, req.id), nil
+		return "refresh", ok, nil
 	}
 	return "ping", nil, fmt.Errorf("%w: opcode %d", ErrBadRequest, req.op)
+}
+
+// query runs an OpQuery against the session snapshot and encodes the
+// response. Matches stream from the scan straight into the frame behind a
+// reserved prefix, so no []Match is collected; the frame is built in *buf,
+// which is replaced when a large result grows it.
+func (c *conn) query(ctx context.Context, req request, buf *[]byte) (shape string, frame []byte, err error) {
+	ix, ok := c.srv.db.Index(req.index)
+	if !ok {
+		return "exact", nil, fmt.Errorf("no index %q: %w", req.index, uindex.ErrIndexNotFound)
+	}
+	q, err := uindex.ParseQuery(ix, req.query)
+	if err != nil {
+		return "exact", nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	shape = queryShape(q)
+	// The session snapshot is held in read mode for the whole query: one
+	// consistent epoch, never blocking other readers.
+	c.sessMu.RLock()
+	snap := c.snap
+	if snap == nil {
+		c.sessMu.RUnlock()
+		return shape, nil, uindex.ErrSnapshotReleased
+	}
+	b := startQueryFrame(*buf)
+	n := 0
+	var encErr error
+	stats, err := snap.QueryFunc(ctx, req.index, q, func(m uindex.Match) bool {
+		n++
+		b, encErr = appendMatch(b, m)
+		return encErr == nil
+	}, uindex.WithAlgorithm(req.alg))
+	c.sessMu.RUnlock()
+	*buf = b
+	if err == nil {
+		err = encErr
+	}
+	if err != nil {
+		return shape, nil, err
+	}
+	return shape, finishQueryFrame(b, req.id, stats, n), nil
 }
 
 func appendOID(b []byte, oid uindex.OID) []byte {
@@ -551,17 +586,17 @@ func appendOID(b []byte, oid uindex.OID) []byte {
 }
 
 // send writes one response frame (serialized per connection).
-func (c *conn) send(payload []byte) {
+func (c *conn) send(frame []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if t := c.srv.cfg.WriteTimeout; t > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(t))
 	}
-	if err := writeFrame(c.nc, payload); err != nil {
+	if err := writeFrame(c.nc, frame); err != nil {
 		c.srv.log.Debug("response write failed", "err", err)
 		return
 	}
-	c.srv.m.bytesOut.Add(uint64(4 + len(payload)))
+	c.srv.m.bytesOut.Add(uint64(len(frame)))
 }
 
 // sendError writes an error response. Every non-OK code increments its
@@ -570,6 +605,6 @@ func (c *conn) sendError(id uint32, code Code, msg string) {
 	if m, ok := c.srv.m.errors[code]; ok {
 		m.Inc()
 	}
-	b := encodeResponseHeader(code, id)
+	b := appendResponseFrame(make([]byte, 0, frameHeaderLen+responseHeaderLen+len(msg)), code, id)
 	c.send(append(b, msg...))
 }

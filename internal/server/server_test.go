@@ -592,3 +592,85 @@ func grepMetrics(body, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestResultsSurviveLaterQueries pins the client-visible lifetime of query
+// results: the server encodes into pooled buffers and the client decodes
+// into shared values and path arenas, and none of that may alias a result
+// already returned. Several goroutines share one connection; each keeps
+// every result it receives and, after later queries on the connection,
+// checks them against an in-process answer. Large results (past the pooled
+// buffer's initial size) and small ones interleave.
+func TestResultsSurviveLaterQueries(t *testing.T) {
+	srv, db := newTestServer(t, nil)
+	defer db.Close()
+	defer srv.Shutdown(context.Background())
+	ctx := context.Background()
+	c := dialT(t, srv)
+	defer c.Close()
+
+	var b uindex.Batch
+	for i := 0; i < 400; i++ {
+		b.Insert([]string{"Vehicle", "Automobile", "Truck"}[i%3], uindex.Attrs{
+			"Name": fmt.Sprintf("S%d", i), "Color": fmt.Sprintf("Zs%d", i%5)})
+	}
+	if _, err := c.ApplyBatch(ctx, &b); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"(Color=[Zs0-Zs4], Vehicle*)", // past the pooled buffer's initial 4 KiB
+		"(Color=Red, Vehicle*)",
+		"(Color={Zs1,Zs3}, Automobile)",
+		"(Color=Blue, Vehicle*)",
+		"(Color=[Zs2-Zs3], Truck)",
+	}
+	want := make(map[string]string, len(queries))
+	for _, q := range queries {
+		ix, _ := db.Index("color")
+		pq, err := uindex.ParseQuery(ix, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, _, err := db.Query(ctx, "color", pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = fmt.Sprint(ms)
+	}
+
+	type kept struct {
+		query string
+		ms    []uindex.Match
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var results []kept
+			for k := 0; k < 25; k++ {
+				q := queries[(g+k)%len(queries)]
+				ms, _, err := c.Query(ctx, "color", q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				results = append(results, kept{q, ms})
+				// Every earlier result must be unchanged by the queries
+				// since.
+				for i, r := range results {
+					if got := fmt.Sprint(r.ms); got != want[r.query] {
+						errs <- fmt.Errorf("goroutine %d: result %d of %q changed after %d later queries:\n got %s\nwant %s",
+							g, i, r.query, len(results)-1-i, got, want[r.query])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

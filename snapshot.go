@@ -28,12 +28,18 @@ type Snapshot struct {
 	db    *Database
 	views map[string]*core.ShardedSnap
 	order []string
-	// mu serializes Release against in-flight queries: queries hold it in
-	// read mode for their whole execution, so Release (and through it,
-	// Database.Close) waits for them instead of unpinning pages a scan is
-	// still walking.
-	mu       sync.RWMutex
+	// inflight counts queries executing against the pinned views, so
+	// Release (and through it, Database.Close) waits for them instead of
+	// unpinning pages a scan is still walking. A counter rather than a
+	// read lock: a QueryFunc callback may run further queries on the same
+	// snapshot without a pending Release deadlocking them.
+	mu       sync.Mutex // guards released and inflight.Add
 	released bool
+	inflight sync.WaitGroup
+	// relMu is held across a whole Release, so a second Release — a racing
+	// user call or Database.Close — returns only after the first has waited
+	// out the in-flight queries and unpinned the views.
+	relMu sync.Mutex
 }
 
 // Snapshot pins the current version of every index and returns the view.
@@ -84,6 +90,8 @@ func (db *Database) releaseSnapshotsLocked() {
 // in-flight queries to finish first. It is idempotent; queries after
 // Release fail with ErrSnapshotReleased.
 func (s *Snapshot) Release() error {
+	s.relMu.Lock()
+	defer s.relMu.Unlock()
 	s.mu.Lock()
 	if s.released {
 		s.mu.Unlock()
@@ -91,6 +99,7 @@ func (s *Snapshot) Release() error {
 	}
 	s.released = true
 	s.mu.Unlock()
+	s.inflight.Wait()
 	var first error
 	for _, name := range s.order {
 		if err := s.views[name].Release(); err != nil && first == nil {
@@ -120,34 +129,55 @@ func (s *Snapshot) Epoch(index string) (uint64, bool) {
 }
 
 // Query runs a query on the named index against the snapshot's pinned
-// version. It accepts the same options as Database.Query; WithSnapshot is
-// redundant here and ignored.
+// version and collects the matches. It accepts the same options as
+// Database.Query; WithSnapshot is redundant here and ignored.
 func (s *Snapshot) Query(ctx context.Context, index string, q Query, opts ...QueryOption) ([]Match, Stats, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return s.query(ctx, index, q, cfg)
+	return collect(func(fn func(Match) bool) (Stats, error) {
+		return s.QueryFunc(ctx, index, q, fn, opts...)
+	})
 }
 
-func (s *Snapshot) query(ctx context.Context, index string, q Query, cfg queryConfig) (_ []Match, _ Stats, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// QueryFunc runs a query like Query but streams each match to fn in key
+// order instead of collecting them; fn returning false stops the scan. It
+// is the query path every other one is built on, and it allocates nothing
+// per match: matches of one attribute-value cluster share one Value, and
+// each Path is carved from a chunked per-query arena, capped at its length.
+// fn may retain the Match it receives — Value is immutable and Path is its
+// own capacity-capped slice, so appending to it cannot overwrite another
+// match. fn runs on the query's goroutine while the scan is in flight; it
+// may run further queries, but must not Release the snapshot or close the
+// database, which wait for the scan to finish.
+func (s *Snapshot) QueryFunc(ctx context.Context, index string, q Query, fn func(Match) bool, opts ...QueryOption) (Stats, error) {
+	return s.queryFunc(ctx, index, q, newQueryConfig(opts), fn)
+}
+
+func (s *Snapshot) queryFunc(ctx context.Context, index string, q Query, cfg queryConfig, fn func(Match) bool) (Stats, error) {
+	s.mu.Lock()
 	if s.released {
-		return nil, Stats{}, ErrSnapshotReleased
+		s.mu.Unlock()
+		return Stats{}, ErrSnapshotReleased
 	}
+	s.inflight.Add(1)
+	s.mu.Unlock()
+	defer s.inflight.Done()
 	v, ok := s.views[index]
 	if !ok {
 		err := fmt.Errorf("uindex: no index %q: %w", index, ErrIndexNotFound)
 		s.db.ctrs.countQuery(Stats{}, err)
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	ec := &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg}
+	stats, err := v.ExecuteCtx(ctx, q, cfg.execContext(), fn)
+	s.db.ctrs.countQuery(stats, err)
+	return stats, err
+}
+
+// collect runs a streaming query and gathers its matches into a slice; on
+// error the matches streamed before it are returned with it.
+func collect(run func(fn func(Match) bool) (Stats, error)) ([]Match, Stats, error) {
 	var out []Match
-	stats, err := v.ExecuteCtx(ctx, q, ec, func(m Match) bool {
+	stats, err := run(func(m Match) bool {
 		out = append(out, m)
 		return true
 	})
-	s.db.ctrs.countQuery(stats, err)
 	return out, stats, err
 }

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSnapshotReadIsolation: a snapshot taken before a write never observes
@@ -343,4 +346,155 @@ func TestMixedWorkloadStress(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotQueryFunc checks the streaming query against the collecting
+// one: the same matches in the same order with the same stats, an early stop
+// that ends the scan, and the snapshot's error surface.
+func TestSnapshotQueryFunc(t *testing.T) {
+	db, _ := paperDB(t)
+	defer db.Close()
+	ctx := context.Background()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Value: OneOf("Red", "White"), Positions: []Position{On("Vehicle")}}
+	want, wantStats, err := snap.Query(ctx, "color", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	stats, err := snap.QueryFunc(ctx, "color", q, func(m Match) bool {
+		got = append(got, m)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || stats != wantStats {
+		t.Fatalf("QueryFunc streamed %v (%+v), Query returned %v (%+v)", got, stats, want, wantStats)
+	}
+
+	n := 0
+	stats, err = snap.QueryFunc(ctx, "color", q, func(Match) bool {
+		n++
+		return n < 2
+	})
+	if err != nil || n != 2 || stats.Matches != 2 {
+		t.Fatalf("early stop: fn ran %d times, %d matches, err %v", n, stats.Matches, err)
+	}
+
+	if _, err := snap.QueryFunc(ctx, "nope", q, func(Match) bool { return true }); !errors.Is(err, ErrIndexNotFound) {
+		t.Fatalf("unknown index: %v", err)
+	}
+	snap.Release()
+	if _, err := snap.QueryFunc(ctx, "color", q, func(Match) bool { return true }); !errors.Is(err, ErrSnapshotReleased) {
+		t.Fatalf("released snapshot: %v", err)
+	}
+}
+
+// TestQueryFuncNestedQueryDuringRelease runs queries from inside a
+// QueryFunc callback while another goroutine releases the snapshot. The
+// release must wait for the outer scan, and the nested queries must either
+// complete or fail with ErrSnapshotReleased — never block behind the
+// pending release, which would deadlock it against the scan it waits for.
+func TestQueryFuncNestedQueryDuringRelease(t *testing.T) {
+	db, _ := paperDB(t)
+	defer db.Close()
+	ctx := context.Background()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Value: Exact("Red"), Positions: []Position{On("Vehicle")}}
+	released := make(chan error, 1)
+	first := true
+	_, err = snap.QueryFunc(ctx, "color", q, func(Match) bool {
+		if !first {
+			return true
+		}
+		first = false
+		go func() { released <- snap.Release() }()
+		for {
+			_, _, err := snap.Query(ctx, "color", q)
+			if errors.Is(err, ErrSnapshotReleased) {
+				return true // the release is now waiting for this scan
+			}
+			if err != nil {
+				t.Errorf("nested query: %v", err)
+				return false
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseWaitsForQueryDuringConcurrentRelease has a QueryFunc callback
+// block while one goroutine releases the snapshot and another closes the
+// database. The release reaches the snapshot first, so Close's own release
+// of it is the second one; Close must still wait for the callback to return
+// before it tears down the pools and files the scan is walking.
+func TestCloseWaitsForQueryDuringConcurrentRelease(t *testing.T) {
+	db, _ := paperDB(t)
+	ctx := context.Background()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Value: Exact("Red"), Positions: []Position{On("Vehicle")}}
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	queryDone := make(chan error, 1)
+	go func() {
+		first := true
+		_, err := snap.QueryFunc(ctx, "color", q, func(Match) bool {
+			if first {
+				first = false
+				close(entered)
+				<-unblock
+			}
+			return true
+		})
+		queryDone <- err
+	}()
+	<-entered
+
+	released := make(chan error, 1)
+	go func() { released <- snap.Release() }()
+	for {
+		snap.mu.Lock()
+		r := snap.released
+		snap.mu.Unlock()
+		if r {
+			break
+		}
+		runtime.Gosched()
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	early := false
+	select {
+	case <-closed:
+		early = true
+		t.Error("Close returned while a snapshot query was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(unblock)
+	if err := <-queryDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	if early {
+		return
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
 }

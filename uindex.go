@@ -1309,6 +1309,19 @@ type queryConfig struct {
 	snap *Snapshot
 }
 
+func newQueryConfig(opts []QueryOption) queryConfig {
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// execContext returns a fresh execution context for one query under cfg.
+func (cfg queryConfig) execContext() *core.ExecContext {
+	return &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg}
+}
+
 // WithAlgorithm selects the retrieval strategy (default Parallel, the
 // paper's Algorithm 1).
 func WithAlgorithm(alg Algorithm) QueryOption {
@@ -1339,32 +1352,32 @@ func WithSnapshot(s *Snapshot) QueryOption {
 // so concurrent mutations are neither observed mid-query nor waited on. Any
 // number of Query calls run in parallel.
 func (db *Database) Query(ctx context.Context, index string, q Query, opts ...QueryOption) ([]Match, Stats, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.snap != nil {
-		return cfg.snap.query(ctx, index, q, cfg)
-	}
+	cfg := newQueryConfig(opts)
+	return collect(func(fn func(Match) bool) (Stats, error) {
+		if cfg.snap != nil {
+			return cfg.snap.queryFunc(ctx, index, q, cfg, fn)
+		}
+		return db.queryFunc(ctx, index, q, cfg, fn)
+	})
+}
+
+// queryFunc streams a query against the current state: the live-tree
+// counterpart of Snapshot.queryFunc.
+func (db *Database) queryFunc(ctx context.Context, index string, q Query, cfg queryConfig, fn func(Match) bool) (Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return nil, Stats{}, ErrClosed
+		return Stats{}, ErrClosed
 	}
 	g, ok := db.groups[index]
 	if !ok {
 		err := fmt.Errorf("uindex: no index %q: %w", index, ErrIndexNotFound)
 		db.ctrs.countQuery(Stats{}, err)
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	ec := &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg}
-	var out []Match
-	stats, err := g.sharded.ExecuteCtx(ctx, q, ec, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
+	stats, err := g.sharded.ExecuteCtx(ctx, q, cfg.execContext(), fn)
 	db.ctrs.countQuery(stats, err)
-	return out, stats, err
+	return stats, err
 }
 
 // QueryJob names one query of a QueryParallel batch.
